@@ -298,16 +298,6 @@ METRICS = {
         "modules": ('repro/faults/scenarios.py',),
         "matrix_column": True,
     },
-    'group.messages_accepted': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
-        "matrix_column": False,
-    },
-    'group.shares_sent': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
-        "matrix_column": False,
-    },
     'invariants.check_errors': {
         "kind": 'counter',
         "modules": ('repro/faults/invariants.py',),
@@ -325,7 +315,7 @@ METRICS = {
     },
     'membership.exchanges_completed': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py', 'repro/workloads/growth.py'),
+        "modules": ('repro/overlay/membership.py', 'repro/workloads/growth.py'),
         "matrix_column": False,
     },
     'membership.exchanges_suppressed': {
@@ -340,12 +330,12 @@ METRICS = {
     },
     'membership.join_latency': {
         "kind": 'histogram',
-        "modules": ('repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/workloads/churn.py',),
         "matrix_column": False,
     },
     'membership.joins_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
         "matrix_column": True,
     },
     'membership.joins_started': {
@@ -355,12 +345,12 @@ METRICS = {
     },
     'membership.leaves_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
         "matrix_column": True,
     },
     'membership.merges': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/overlay/membership.py',),
         "matrix_column": False,
     },
     'membership.slowdown_penalty': {
@@ -370,7 +360,7 @@ METRICS = {
     },
     'membership.splits': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/overlay/membership.py',),
         "matrix_column": False,
     },
     'membership.system_size': {
@@ -430,12 +420,12 @@ METRICS = {
     },
     'net.delivery_latency': {
         "kind": 'histogram',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_delivered': {
         "kind": 'counter',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_lost': {
@@ -450,7 +440,7 @@ METRICS = {
     },
     'net.messages_sent': {
         "kind": 'counter',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_undeliverable': {
@@ -461,11 +451,6 @@ METRICS = {
     'perf.latency': {
         "kind": 'histogram',
         "modules": ('repro/sim/perf.py',),
-        "matrix_column": False,
-    },
-    'perf.swallowed_errors': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
         "matrix_column": False,
     },
     'policy.antientropy_period': {
@@ -791,16 +776,6 @@ METRICS = {
     'smr.sync.relays': {
         "kind": 'counter',
         "modules": ('repro/smr/dolev_strong.py',),
-        "matrix_column": False,
-    },
-    'stack.deliveries': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
-        "matrix_column": False,
-    },
-    'stack.forwards': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
         "matrix_column": False,
     },
 }

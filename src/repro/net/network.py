@@ -15,7 +15,6 @@ protocol behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappush
 from typing import Any, Dict, Iterable, Optional, Set
 
@@ -53,17 +52,17 @@ class NetworkConfig:
     #: consecutive sequence numbers at one timestamp admit no interleaving —
     #: but the ``(time, tag)`` event trace gets shorter, so runs with this
     #: flag are not trace-comparable to runs without it.  Off by default to
-    #: keep golden traces stable; the protocol-speed benchmark enables it.
+    #: keep golden traces stable.
     coalesced_fanout_delivery: bool = False
 
 
 class _Delivery(Event):
     """A queued in-flight delivery: ONE slotted object per message.
 
-    Replaces the ``Message`` + ``functools.partial`` + ``Event`` triple on the
-    burst fast path: the object carries the wire fields, *is* the scheduled
-    event, and *is* its own callback (``callback = self``).  Semantics are
-    identical to :meth:`Network._deliver`.
+    Every send entry point of :class:`Network` schedules these: the object
+    carries the wire fields, *is* the scheduled event, and *is* its own
+    callback (``callback = self``), so no ``Message`` or ``partial`` is
+    allocated per message.
     """
 
     __slots__ = ("network", "sender", "receiver", "payload", "sent_at")
@@ -349,15 +348,21 @@ class Network:
         payload: Any,
         size_bytes: int = 256,
     ) -> Optional[Message]:
-        """Send one message.  Returns the in-flight message, or ``None`` if dropped."""
-        message = Message(
+        """Send one message.  Returns the in-flight message, or ``None`` if dropped.
+
+        Rides :meth:`send_one`; the returned :class:`Message` is a handle for
+        the caller, not the delivery event.
+        """
+        sent_at = self.sim.now
+        if not self.send_one(sender, receiver, payload, size_bytes):
+            return None
+        return Message(
             sender=sender,
             receiver=receiver,
             payload=payload,
             size_bytes=size_bytes,
-            sent_at=self.sim.now,
+            sent_at=sent_at,
         )
-        return self._dispatch(message)
 
     def send_burst(
         self,
@@ -370,101 +375,14 @@ class Network:
         shuffled before submission, which spreads load over receivers' downlinks
         and mirrors Atum's randomized message sending.
         Returns the number of messages actually dispatched (not dropped).
-
-        Bursts are the dominant send pattern (every group message is a burst of
-        shares), so the whole routing pipeline is inlined here: batched counter
-        updates, then per message one latency sample, one downlink update and
-        one heap push of a slotted :class:`_Delivery` callback — no ``Message``
-        or ``partial`` objects.  The per-message RNG draw order, scheduling
-        arithmetic and event order are identical to sequential :meth:`send`
-        calls, so simulations are trace-identical either way.
         """
         batch = list(messages)
         if self.config.randomized_send_order:
             self._rng.shuffle(batch)
-        if not batch:
-            return 0
-        counters = self._counters
-        counters["net.messages_sent"] += float(len(batch))
-        if self._send_hooks is not None:
-            total_bytes = 0
-            dispatched = 0
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                dispatched += self._schedule_intercepted(sender, receiver, payload, size_bytes)
-            counters["net.bytes_sent"] += float(total_bytes)
-            return dispatched
-        sim = self.sim
-        now = sim._now
-        rng = self._rng
-        config = self.config
-        loss = config.loss_probability
-        headers = config.headers_bytes
-        bandwidth = config.bandwidth_bytes_per_s
-        partitioned = self._partitioned
-        sender_partitioned = bool(partitioned) and sender in partitioned
-        check_partition = bool(partitioned)
-        splits = self._splits
-        latency_model = self.latency_model
-        constant_latency = latency_model.constant_latency
-        sample = latency_model.sample
-        downlink = self._downlink_free_at
-        downlink_get = downlink.get
-        queue = sim.queue
-        heap = queue._heap
-        seq = queue._seq
+        send_one = self.send_one
         dispatched = 0
-        total_bytes = 0
-        # Float arithmetic below mirrors _route() + Simulator.schedule()
-        # exactly (including the delay round-trip), keeping event times
-        # bit-identical to the pre-batching path.
-        if not check_partition and not splits and loss == 0.0 and constant_latency is not None:
-            # Tight loop for the dominant case: healthy network, constant
-            # latency model — no per-message drop checks or samples.
-            propagated = now + constant_latency
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                arrival_start = propagated
-                free_at = downlink_get(receiver, 0.0)
-                if free_at > arrival_start:
-                    arrival_start = free_at
-                delivery_time = arrival_start + (size_bytes + headers) / bandwidth
-                downlink[receiver] = delivery_time
-                scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                heappush(heap, (scheduled, 0, seq, event))
-                seq += 1
-            dispatched = len(batch)
-        else:
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                if (
-                    check_partition and (sender_partitioned or receiver in partitioned)
-                ) or (splits and self.crosses_split(sender, receiver)):
-                    counters["net.messages_partitioned"] += 1.0
-                    continue
-                if loss > 0.0 and rng.random() < loss:
-                    counters["net.messages_lost"] += 1.0
-                    continue
-                propagation = (
-                    constant_latency
-                    if constant_latency is not None
-                    else sample(rng, sender, receiver)
-                )
-                arrival_start = now + propagation
-                free_at = downlink_get(receiver, 0.0)
-                if free_at > arrival_start:
-                    arrival_start = free_at
-                delivery_time = arrival_start + (size_bytes + headers) / bandwidth
-                downlink[receiver] = delivery_time
-                scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                heappush(heap, (scheduled, 0, seq, event))
-                seq += 1
-                dispatched += 1
-        counters["net.bytes_sent"] += float(total_bytes)
-        queue._seq = seq
-        queue._live += dispatched
+        for receiver, payload, size_bytes in batch:
+            dispatched += send_one(sender, receiver, payload, size_bytes)
         return dispatched
 
     def send_fanout(
@@ -476,12 +394,12 @@ class Network:
     ) -> int:
         """Send the same ``payload``/``size_bytes`` to every receiver.
 
-        The m-destination group-message fan-out is the hottest send shape, and
-        sharing the payload lets the whole per-destination tuple machinery of
-        :meth:`send_burst` disappear: one shuffled receiver list, one transfer
-        time computed for the burst, one slotted delivery object per receiver.
-        RNG draws (shuffle permutation, loss draws), float arithmetic and
-        event order are identical to the equivalent :meth:`send_burst` call.
+        The m-destination group-message fan-out is the hottest send shape, so
+        it inlines the :meth:`send_one` pipeline over the burst: one shuffled
+        receiver list, one transfer time computed for the burst, one slotted
+        delivery object per receiver.  RNG draws (shuffle permutation, loss
+        draws, latency samples), float arithmetic and event order are
+        identical to the equivalent :meth:`send_burst` call.
         """
         config = self.config
         if config.randomized_send_order:
@@ -595,11 +513,12 @@ class Network:
         payload: Any,
         size_bytes: int = 256,
     ) -> bool:
-        """Fire-and-forget single send on the burst fast path.
+        """Send one message; returns whether it was dispatched (not dropped).
 
-        Identical semantics (accounting, routing arithmetic, event structure)
-        to :meth:`send`, but skips building the :class:`Message` handle; use it
-        on hot paths that ignore :meth:`send`'s return value (heartbeats).
+        The single-message send path (:meth:`send` and :meth:`send_burst` ride
+        it): drop checks, one latency sample, one downlink update and one
+        :class:`_Delivery` push.  Use it directly on hot paths that need no
+        :class:`Message` handle (heartbeats).
         """
         counters = self._counters
         counters["net.messages_sent"] += 1.0
@@ -726,69 +645,6 @@ class Network:
         queue._live += seq - queue._seq
         queue._seq = seq
         return 1
-
-    def _dispatch(self, message: Message) -> Optional[Message]:
-        metrics = self.sim.metrics
-        metrics.increment("net.messages_sent")
-        metrics.increment("net.bytes_sent", message.size_bytes)
-        return self._route(message)
-
-    def _route(self, message: Message) -> Optional[Message]:
-        """Drop-check, sample latency and schedule delivery for one message."""
-        if self._send_hooks is not None:
-            dispatched = self._schedule_intercepted(
-                message.sender, message.receiver, message.payload, message.size_bytes
-            )
-            return message if dispatched else None
-        if self._partitioned and (
-            message.sender in self._partitioned or message.receiver in self._partitioned
-        ):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return None
-        if self._splits and self.crosses_split(message.sender, message.receiver):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return None
-        if self.config.loss_probability > 0.0 and (
-            self._rng.random() < self.config.loss_probability
-        ):
-            self.sim.metrics.increment("net.messages_lost")
-            return None
-
-        propagation = self.latency_model.sample(
-            self._rng, message.sender, message.receiver
-        )
-        total_bytes = message.size_bytes + self.config.headers_bytes
-        transfer = total_bytes / self.config.bandwidth_bytes_per_s
-
-        # Model receiver downlink serialization: a large transfer occupies the
-        # downlink and delays subsequently arriving messages.
-        now = self.sim.now
-        arrival_start = max(
-            now + propagation,
-            self._downlink_free_at.get(message.receiver, 0.0),
-        )
-        delivery_time = arrival_start + transfer
-        self._downlink_free_at[message.receiver] = delivery_time
-
-        self.sim.schedule(
-            delivery_time - now, partial(self._deliver, message), tag="net.deliver"
-        )
-        return message
-
-    def _deliver(self, message: Message) -> None:
-        actor = self._actors.get(message.receiver)
-        if actor is None or not actor.alive:
-            self.sim.metrics.increment("net.messages_undeliverable")
-            return
-        if message.receiver in self._partitioned:
-            self.sim.metrics.increment("net.messages_partitioned")
-            return
-        if self._splits and self.crosses_split(message.sender, message.receiver):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return
-        self.sim.metrics.increment("net.messages_delivered")
-        self.sim.metrics.observe("net.delivery_latency", self.sim.now - message.sent_at)
-        actor.on_message(message.payload, message.sender)
 
 
 __all__ = ["Network", "NetworkConfig"]

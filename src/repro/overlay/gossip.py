@@ -15,10 +15,9 @@ provides the standard policies discussed in the paper:
 Policies run once per (vgroup, message) hop, so they lean on the H-graph's
 cached per-vertex neighbour tables instead of rebuilding neighbour lists per
 message, and they derive cycle subsets from a **cached stable hash** of the
-message id (Python's builtin ``hash`` is salted per process; the previous
-``sum(ord(ch))`` derivation clustered similar gm-ids onto the same cycle).
-The pre-PR derivations remain available behind ``legacy_hash`` /
-``legacy_shuffle`` flags for golden-trace replay and A/B experiments.
+message id (Python's builtin ``hash`` is salted per process, and a
+``sum(ord(ch))`` derivation would cluster similar gm-ids onto the same
+cycle).
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ from repro.overlay.hgraph import HGraph
 #: of neighbour vgroups to forward to.
 ForwardPolicy = Callable[[HGraph, str, str, random.Random], List[str]]
 
-#: Bound on the message-id hash memos (message ids repeat for every hop of a
+#: Bound on the message-id hash memo (message ids repeat for every hop of a
 #: dissemination, then die; a full reset simply re-hashes the live ids).
 _HASH_CACHE_LIMIT = 8192
 
 _stable_hash_cache: dict = {}
-_legacy_hash_cache: dict = {}
 
 
 def stable_message_hash(message_id: str) -> int:
@@ -59,17 +57,6 @@ def stable_message_hash(message_id: str) -> int:
     return value
 
 
-def _legacy_message_hash(message_id: str) -> int:
-    """The pre-PR ``sum(ord(ch))`` derivation (kept for golden-trace replay)."""
-    value = _legacy_hash_cache.get(message_id)
-    if value is None:
-        if len(_legacy_hash_cache) >= _HASH_CACHE_LIMIT:
-            _legacy_hash_cache.clear()
-        value = sum(ord(ch) for ch in message_id)
-        _legacy_hash_cache[message_id] = value
-    return value
-
-
 def _cycle_neighbors(graph: HGraph, vertex: str, cycles: Sequence[int]) -> List[str]:
     neighbors: List[str] = []
     seen: Set[str] = set()
@@ -87,23 +74,20 @@ def flood_policy(graph: HGraph, vertex: str, message_id: str, rng: random.Random
     return list(graph.gossip_neighbors(vertex))
 
 
-def cycles_policy(count: int, legacy_hash: bool = False) -> ForwardPolicy:
+def cycles_policy(count: int) -> ForwardPolicy:
     """Forward along ``count`` consecutive cycles only (throughput-friendly).
 
     The cycle subset is deterministic (derived from a stable hash of the
     message id) so that every vgroup uses the same cycles for a given stream,
-    which is what keeps delivery deterministic.  ``legacy_hash=True`` selects
-    the pre-PR ``sum(ord(ch))`` derivation for golden-trace replay.
+    which is what keeps delivery deterministic.
 
     Forward lists are memoised per (vertex, starting cycle) in the graph's
     per-vertex derived cache, which topology mutations invalidate.
     """
-    hash_fn = _legacy_message_hash if legacy_hash else stable_message_hash
-
     def policy(graph: HGraph, vertex: str, message_id: str, rng: random.Random) -> List[str]:
         hc = graph.hc
         usable = min(count, hc)
-        start = hash_fn(message_id) % hc
+        start = stable_message_hash(message_id) % hc
         derived = graph.derived_cache(vertex)
         key = ("cycles", usable, start)
         cached = derived.get(key)
@@ -124,9 +108,7 @@ def single_cycle_policy(graph: HGraph, vertex: str, message_id: str, rng: random
     return _single_cycle(graph, vertex, message_id, rng)
 
 
-def random_policy(
-    fanout: int = 2, guaranteed_cycle: int = 0, legacy_shuffle: bool = False
-) -> ForwardPolicy:
+def random_policy(fanout: int = 2, guaranteed_cycle: int = 0) -> ForwardPolicy:
     """Classic gossip: ``fanout`` random neighbours plus one guaranteed cycle.
 
     Forwarding always includes both neighbours on ``guaranteed_cycle``; this is
@@ -138,12 +120,9 @@ def random_policy(
 
     The random subset is drawn with a single ``rng.sample`` over the vertex's
     cached, deterministically ordered neighbour list, so two runs with the
-    same seed pick identical forward sets on every interpreter (the pre-PR
-    implementation shuffled a ``set``-ordered list, which made the picks
-    depend on Python's per-process hash salt).  ``legacy_shuffle=True``
-    reproduces the old shuffle-and-slice draw behaviour — note that even then
-    the candidate order is the cached deterministic one, not the historical
-    hash-salted set order.
+    same seed pick identical forward sets on every interpreter (shuffling a
+    ``set``-ordered list would make the picks depend on Python's per-process
+    hash salt).
     """
 
     def policy(graph: HGraph, vertex: str, message_id: str, rng: random.Random) -> List[str]:
@@ -156,10 +135,6 @@ def random_policy(
             others = [n for n in graph.gossip_neighbors(vertex) if n not in guaranteed]
             cached = derived[key] = (guaranteed, others)
         guaranteed, others = cached
-        if legacy_shuffle:
-            pool = list(others)
-            rng.shuffle(pool)
-            return guaranteed + pool[:fanout]
         if fanout >= len(others):
             return guaranteed + list(others)
         return guaranteed + rng.sample(others, fanout)

@@ -1,4 +1,4 @@
-"""Capture the golden protocol-path traces (run with the PRE-optimisation code).
+"""Capture the golden protocol-path traces.
 
 Produces two golden files next to this script:
 
@@ -6,23 +6,30 @@ Produces two golden files next to this script:
   forwarding trace of a broadcast over a 3-cycle H-graph under the flood and
   random policies (via :func:`repro.overlay.gossip.dissemination_trace`).
 * ``golden_protocol_stack.json`` — the full ``(time, tag)`` event trace and
-  figure outputs of a small protocol-stack broadcast scenario (group
-  messenger + gossip forwarding + heartbeats on the real network/simulator).
+  figure outputs of the stack scenario defined in
+  ``tests/test_protocol_golden_trace.py``: a 60-node Sync ``AtumCluster``
+  (seed 21, ``FixedLatency(0.002)``, heartbeats on) gossiping three
+  broadcasts from three vgroups for 30 simulated seconds.
 
 Capture provenance
 ------------------
 
-The ``flood`` dissemination trace and the stack trace were captured at commit
-9967c2e (the pre-PR protocol path).  Both are independent of Python's hash
-randomisation, so they replay byte-identically on any interpreter — the fast
-protocol path is held to them.
+The ``flood`` dissemination trace was captured at commit 9967c2e (the
+pre-optimisation protocol path).  It is independent of Python's hash
+randomisation, so it replays byte-identically on any interpreter.
 
-The ``random`` dissemination trace could NOT be captured on the pre-PR code:
-the old ``random_policy`` drew its candidate list from a ``set`` (hash-seed
+The ``random`` dissemination trace could NOT be captured on that code: the
+old ``random_policy`` drew its candidate list from a ``set`` (hash-seed
 dependent iteration order), so its forward sets differed between interpreter
-invocations — there was no byte-stable pre-PR behaviour to record.  It was
-therefore captured on the deterministic fast path introduced by this PR
-(ordered neighbour tables + ``rng.sample``) and locks that new guarantee.
+invocations.  It was captured on the deterministic draw scheme (ordered
+neighbour tables + ``rng.sample``) and locks that guarantee.
+
+The stack trace was captured at commit 4ae803f, before the network's
+``send`` path was folded onto the slotted delivery event.  An earlier stack
+golden recorded a bench-only copy of node forwarding (group messenger +
+gossip + heartbeats without SMR); it was replaced by this scenario on the
+real stack when that copy was deleted.  The scenario has no splits or
+merges, so it replays byte-identically under any ``PYTHONHASHSEED``.
 
 Regenerate deliberately with::
 
@@ -36,9 +43,16 @@ import sys
 
 from repro.overlay.gossip import dissemination_trace, flood_policy, random_policy
 from repro.overlay.hgraph import HGraph
-from repro.sim.protocol_perf import run_broadcast_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(HERE))
+
+from test_protocol_golden_trace import (  # noqa: E402  (needs the tests dir on sys.path)
+    STACK_FIGURES,
+    run_stack_scenario,
+    stack_shape,
+)
+
 DISSEMINATION_PATH = os.path.join(HERE, "golden_protocol_dissemination.json")
 STACK_PATH = os.path.join(HERE, "golden_protocol_stack.json")
 
@@ -46,12 +60,6 @@ GRAPH_SEED = 5
 GRAPH_VERTICES = 27
 GRAPH_CYCLES = 3
 MESSAGE_ID = "gm-golden-1"
-
-STACK_SEED = 21
-STACK_GROUPS = 12
-STACK_GROUP_SIZE = 5
-STACK_BROADCASTS = 3
-STACK_HORIZON = 30.0
 
 
 def build_graph() -> HGraph:
@@ -81,34 +89,11 @@ def capture_dissemination(include_random: bool) -> dict:
 
 def capture_stack() -> dict:
     trace: list = []
-    outcome = run_broadcast_scenario(
-        seed=STACK_SEED,
-        groups=STACK_GROUPS,
-        group_size=STACK_GROUP_SIZE,
-        hc=GRAPH_CYCLES,
-        broadcasts=STACK_BROADCASTS,
-        policy="flood",
-        horizon=STACK_HORIZON,
-        trace=trace,
-    )
-    metrics_keys = (
-        "processed_events",
-        "messages_delivered",
-        "messages_sent",
-        "shares_sent",
-        "group_accepted",
-        "deliveries",
-        "delivery_fraction",
-    )
+    outcome = run_stack_scenario(trace=trace)
     return {
-        "seed": STACK_SEED,
-        "groups": STACK_GROUPS,
-        "group_size": STACK_GROUP_SIZE,
-        "hc": GRAPH_CYCLES,
-        "broadcasts": STACK_BROADCASTS,
-        "horizon": STACK_HORIZON,
+        **stack_shape(),
         "trace_length": len(trace),
-        "figures": {key: outcome[key] for key in metrics_keys},
+        "figures": {key: outcome[key] for key in STACK_FIGURES},
         "trace": [[t, tag] for t, tag in trace],
     }
 

@@ -216,6 +216,81 @@ class TestSidePreservingSplits:
         assert not network.crosses_split("a", "unknown")
 
 
+class TestSendPathEquivalence:
+    """Every entry point rides the same pipeline, slow paths included.
+
+    Sampled latency, message loss and an active split each draw or drop per
+    message; the four entry points must draw, drop and deliver identically
+    for the same message set.
+    """
+
+    RECEIVERS = [f"r{i}" for i in range(16)] + ["ghost"]
+    ROUNDS = ((0.0, "first"), (0.001, "second"), (0.001, "third"))
+    SIZE = 20_000  # 2.5 ms on the wire: later rounds queue on downlinks
+
+    def _run(self, entry_point):
+        sim = Simulator(seed=5)
+        network = Network(
+            sim,
+            latency_model=LogNormalLatency(median=0.002, sigma=0.5),
+            config=NetworkConfig(loss_probability=0.25, randomized_send_order=False),
+        )
+        actors = {name: Recorder(sim, name) for name in ["s"] + self.RECEIVERS[:-1]}
+        for actor in actors.values():
+            network.register(actor)
+        network.split([["s", "r0", "r1", "r2", "r3"], ["r4", "r5", "r6", "r7"]])
+        receivers = self.RECEIVERS
+        dispatched = []
+
+        def send_round(payload):
+            if entry_point == "send":
+                sent = [network.send("s", r, payload, self.SIZE) for r in receivers]
+                count = sum(message is not None for message in sent)
+            elif entry_point == "send_one":
+                count = sum(network.send_one("s", r, payload, self.SIZE) for r in receivers)
+            elif entry_point == "send_burst":
+                count = network.send_burst("s", [(r, payload, self.SIZE) for r in receivers])
+            else:
+                count = network.send_fanout("s", receivers, payload, self.SIZE)
+            dispatched.append(count)
+
+        for when, payload in self.ROUNDS:
+            sim.schedule(when, lambda payload=payload: send_round(payload), tag="test.send")
+        trace = []
+        sim.run(trace=trace)
+        counters = {
+            name: value for name, value in sim.metrics.counters.items() if name.startswith("net.")
+        }
+        return {
+            "trace": trace,
+            "received": {
+                name: [(t, sender, payload) for t, payload, sender in actor.received]
+                for name, actor in sorted(actors.items())
+            },
+            "counters": counters,
+            "latencies": list(sim.metrics.histogram("net.delivery_latency").samples),
+            "dispatched": dispatched,
+            "rng_state": network._rng.getstate(),
+        }
+
+    def test_all_entry_points_agree(self):
+        reference = self._run("send")
+        # The scenario reaches every slow-path branch.
+        counters = reference["counters"]
+        assert counters["net.messages_lost"] > 0
+        assert counters["net.messages_partitioned"] > 0
+        assert counters["net.messages_undeliverable"] > 0
+        assert counters["net.messages_delivered"] > 0
+        for entry_point in ("send_one", "send_burst", "send_fanout"):
+            outcome = self._run(entry_point)
+            assert outcome["trace"] == reference["trace"], entry_point
+            assert outcome["received"] == reference["received"], entry_point
+            assert outcome["counters"] == reference["counters"], entry_point
+            assert outcome["latencies"] == reference["latencies"], entry_point
+            assert outcome["dispatched"] == reference["dispatched"], entry_point
+            assert outcome["rng_state"] == reference["rng_state"], entry_point
+
+
 class TestLatencyModels:
     def test_fixed(self):
         rng = random.Random(0)

@@ -177,23 +177,6 @@ class TestPolicyDeterminism:
             for neighbor in {pred, succ} - {vertex}:
                 assert neighbor in targets
 
-    def test_random_policy_legacy_shuffle_flag_replays_old_draw_scheme(self):
-        graph, _ = build_graph(n=32, hc=4, seed=9)
-        legacy = random_policy(fanout=2, legacy_shuffle=True)
-        modern = random_policy(fanout=2)
-        # Both are deterministic under a fixed seed...
-        assert legacy(graph, "g1", "m", random.Random(4)) == legacy(
-            graph, "g1", "m", random.Random(4)
-        )
-        # ...but consume randomness differently (shuffle-and-slice vs sample):
-        # the guaranteed-cycle prefix agrees, the random picks do not.
-        l = legacy(graph, "g1", "m", random.Random(4))
-        m = modern(graph, "g1", "m", random.Random(4))
-        assert l[:2] == m[:2]
-        assert l != m
-        assert set(l) <= set(graph.neighbors("g1"))
-        assert set(m) <= set(graph.neighbors("g1"))
-
     def test_cycles_policy_stable_hash_spreads_similar_ids(self):
         from repro.overlay.gossip import stable_message_hash
 
@@ -207,19 +190,6 @@ class TestPolicyDeterminism:
         # Permutations collide under the legacy hash by construction.
         assert (sum(ord(c) for c in "gm-12") == sum(ord(c) for c in "gm-21"))
         assert stable_message_hash("gm-12") != stable_message_hash("gm-21")
-
-    def test_cycles_policy_legacy_hash_flag_matches_old_derivation(self):
-        graph, rng = build_graph(n=24, hc=5, seed=13)
-        policy = cycles_policy(2, legacy_hash=True)
-        message_id = "stream-42"
-        start = sum(ord(ch) for ch in message_id) % graph.hc
-        expected_cycles = [start % graph.hc, (start + 1) % graph.hc]
-        expected = []
-        for cycle in expected_cycles:
-            for neighbor in graph.cycle_neighbors("g7", cycle):
-                if neighbor != "g7" and neighbor not in expected:
-                    expected.append(neighbor)
-        assert policy(graph, "g7", message_id, rng) == expected
 
     def test_policy_results_refresh_after_topology_change(self):
         graph, rng = build_graph(n=16, hc=3, seed=11)

@@ -1,4 +1,4 @@
-"""Golden-trace determinism tests for the protocol fast path (PR 2).
+"""Golden-trace determinism tests for the protocol path.
 
 Two golden files captured by ``tests/golden/capture_protocol_golden.py``:
 
@@ -6,16 +6,17 @@ Two golden files captured by ``tests/golden/capture_protocol_golden.py``:
   forwarding over a 3-cycle H-graph.  The ``flood`` trace was captured on the
   PRE-optimisation protocol path (commit 9967c2e) and must replay
   byte-identically on the cached-neighbour-table fast path.  The ``random``
-  trace locks the NEW deterministic draw scheme (ordered neighbour list +
-  ``rng.sample``): the pre-PR ``random_policy`` drew from a hash-salted set
+  trace locks the deterministic draw scheme (ordered neighbour list +
+  ``rng.sample``): the original ``random_policy`` drew from a hash-salted set
   order and therefore had no byte-stable cross-process behaviour to record.
 * ``golden_protocol_stack.json`` — the full ``(time, tag)`` event trace and
-  figures of a protocol-stack broadcast scenario (group messenger fan-out +
-  gossip forwarding + heartbeats on the real network/simulator), captured on
-  the pre-PR path.  The batched-fan-out/slotted-delivery rewrite must change
-  wall-clock speed and nothing else.
+  figures of a broadcast scenario on the real stack: a 60-node Sync
+  :class:`~repro.core.cluster.AtumCluster` with heartbeats on, gossiping
+  three broadcasts through SMR, group-message fan-out and H-graph
+  forwarding on the real network and simulator.  Refactors of the send and
+  delivery paths must change wall-clock speed and nothing else.
 
-If a future PR intentionally changes protocol scheduling semantics,
+If a future change intentionally alters protocol scheduling semantics,
 regenerate the golden files with the capture script and document why in
 CHANGES.md.
 """
@@ -26,13 +27,33 @@ import random
 
 import pytest
 
+from repro.core.cluster import AtumCluster
+from repro.core.config import AtumParameters, SmrKind
+from repro.net.latency import FixedLatency
+from repro.net.network import NetworkConfig
 from repro.overlay.gossip import dissemination_trace, flood_policy, random_policy
 from repro.overlay.hgraph import HGraph
-from repro.sim.protocol_perf import run_broadcast_scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 DISSEMINATION_PATH = os.path.join(GOLDEN_DIR, "golden_protocol_dissemination.json")
 STACK_PATH = os.path.join(GOLDEN_DIR, "golden_protocol_stack.json")
+
+# The stack scenario (recorded in the golden file; must match it).
+STACK_SEED = 21
+STACK_NODES = 60
+STACK_LATENCY = 0.002
+STACK_ORIGINS = ("n0", "n20", "n40")
+STACK_INTERVAL = 0.25
+STACK_HORIZON = 30.0
+STACK_FIGURES = (
+    "processed_events",
+    "messages_delivered",
+    "messages_sent",
+    "shares_sent",
+    "group_accepted",
+    "deliveries",
+    "delivery_fraction",
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,47 +123,88 @@ class TestDisseminationGolden:
         assert as_json_rounds(rounds) == dissemination_golden["flood"]
 
 
-def run_stack_scenario(stack_golden, coalesced=False, with_trace=True):
-    trace = [] if with_trace else None
-    outcome = run_broadcast_scenario(
-        seed=stack_golden["seed"],
-        groups=stack_golden["groups"],
-        group_size=stack_golden["group_size"],
-        hc=stack_golden["hc"],
-        broadcasts=stack_golden["broadcasts"],
-        policy="flood",
-        horizon=stack_golden["horizon"],
-        coalesced_fanout=coalesced,
-        trace=trace,
+def stack_shape():
+    """The scenario parameters, as recorded in the golden file."""
+    return {
+        "seed": STACK_SEED,
+        "nodes": STACK_NODES,
+        "latency": STACK_LATENCY,
+        "origins": list(STACK_ORIGINS),
+        "interval": STACK_INTERVAL,
+        "horizon": STACK_HORIZON,
+    }
+
+
+def run_stack_scenario(coalesced=False, trace=None, chain=None):
+    """Run the stack scenario; returns its figures plus latency samples.
+
+    ``coalesced`` turns on :attr:`NetworkConfig.coalesced_fanout_delivery`;
+    ``chain`` is a middleware chain installed before the nodes are built.
+    """
+    params = AtumParameters.for_system_size(STACK_NODES, SmrKind.SYNC)
+    cluster = AtumCluster(
+        params,
+        seed=STACK_SEED,
+        latency_model=FixedLatency(STACK_LATENCY),
+        network_config=NetworkConfig(coalesced_fanout_delivery=coalesced),
+        enable_heartbeats=True,
     )
-    return trace, outcome
+    if chain is not None:
+        cluster.install_middleware(chain)
+    cluster.build_static([f"n{i}" for i in range(STACK_NODES)])
+    sim = cluster.sim
+    bcast_ids = []
+    for index, origin in enumerate(STACK_ORIGINS):
+
+        def fire(origin=origin) -> None:
+            bcast_ids.append(cluster.broadcast(origin, {"golden": origin}))
+
+        sim.schedule(STACK_INTERVAL * index, fire, tag="stack.broadcast")
+    sim.run(until=STACK_HORIZON, trace=trace)
+    metrics = sim.metrics
+    fractions = [cluster.delivery_fraction(bcast_id) for bcast_id in bcast_ids]
+    return {
+        "processed_events": sim.processed_events,
+        "messages_delivered": metrics.counter("net.messages_delivered"),
+        "messages_sent": metrics.counter("net.messages_sent"),
+        "shares_sent": metrics.counter("group.shares_sent"),
+        "group_accepted": metrics.counter("group.messages_accepted"),
+        "deliveries": metrics.counter("atum.deliveries"),
+        "delivery_fraction": sum(fractions) / len(fractions),
+        "delivery_latency_samples": list(
+            metrics.histogram("net.delivery_latency").samples
+        ),
+    }
 
 
-def stack_figures(stack_golden, outcome):
-    return {key: outcome[key] for key in stack_golden["figures"]}
+def stack_figures(outcome):
+    return {key: outcome[key] for key in STACK_FIGURES}
 
 
 class TestStackGolden:
     def test_matches_pre_optimisation_stack_trace(self, stack_golden):
-        trace, outcome = run_stack_scenario(stack_golden)
+        """Replays the trace captured before the send paths were folded."""
+        assert {key: stack_golden[key] for key in stack_shape()} == stack_shape()
+        trace = []
+        outcome = run_stack_scenario(trace=trace)
         assert len(trace) == stack_golden["trace_length"]
         assert [[t, tag] for t, tag in trace] == stack_golden["trace"]
-        assert stack_figures(stack_golden, outcome) == stack_golden["figures"]
+        assert stack_figures(outcome) == stack_golden["figures"]
 
-    def test_two_runs_are_byte_identical(self, stack_golden):
-        trace_a, outcome_a = run_stack_scenario(stack_golden)
-        trace_b, outcome_b = run_stack_scenario(stack_golden)
+    def test_two_runs_are_byte_identical(self):
+        trace_a, trace_b = [], []
+        outcome_a = run_stack_scenario(trace=trace_a)
+        outcome_b = run_stack_scenario(trace=trace_b)
         assert trace_a == trace_b
-        assert outcome_a["delivery_latency_samples"] == outcome_b["delivery_latency_samples"]
-        assert stack_figures(stack_golden, outcome_a) == stack_figures(stack_golden, outcome_b)
+        assert outcome_a == outcome_b
 
     def test_coalesced_fanout_changes_only_event_count(self, stack_golden):
         """Batched fan-out delivery: same outcomes, fewer simulation events."""
-        _, plain = run_stack_scenario(stack_golden, with_trace=False)
-        _, coalesced = run_stack_scenario(stack_golden, coalesced=True, with_trace=False)
+        plain = run_stack_scenario()
+        coalesced = run_stack_scenario(coalesced=True)
         assert coalesced["processed_events"] < plain["processed_events"]
-        for key in stack_golden["figures"]:
+        for key in STACK_FIGURES:
             if key == "processed_events":
                 continue
-            assert coalesced[key] == plain[key], key
+            assert coalesced[key] == plain[key] == stack_golden["figures"][key], key
         assert coalesced["delivery_latency_samples"] == plain["delivery_latency_samples"]

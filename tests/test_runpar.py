@@ -2,7 +2,8 @@
 
 The load-bearing property is determinism: fanning seeded shards across
 worker processes must produce metrics identical to a single-process run on
-the same seeds (an acceptance criterion of the protocol fast-path PR).
+the same seeds.  The shards are fault-matrix scenario runs
+(:func:`repro.faults.scenarios.scenario_shard`) on the real stack.
 """
 
 import multiprocessing
@@ -19,25 +20,18 @@ from repro.sim.runpar import (
     run_sharded,
 )
 
-BROADCAST_TARGET = "repro.sim.protocol_perf:broadcast_shard"
-CHURN_TARGET = "repro.sim.protocol_perf:churn_shard"
+SHARD_TARGET = "repro.faults.scenarios:scenario_shard"
 
-SMALL_BROADCAST = {
-    "groups": 6,
-    "group_size": 5,
-    "broadcasts": 3,
-    "horizon": 20.0,
-    "heartbeat_period": None,
-    "randomized_send_order": False,
-}
-SMALL_CHURN = {"initial_nodes": 120, "operations": 40, "op_interval": 0.5}
+BROADCAST = {"name": "broadcast/none"}
+PARTITION_HEAL = {"name": "broadcast/partition_heal"}
+CHURN = {"name": "churn/none"}
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestResolveTarget:
     def test_resolves_module_path(self):
-        fn = resolve_target(BROADCAST_TARGET)
+        fn = resolve_target(SHARD_TARGET)
         assert callable(fn)
 
     def test_passes_through_callables(self):
@@ -46,16 +40,16 @@ class TestResolveTarget:
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
-            resolve_target("repro.sim.protocol_perf")
+            resolve_target("repro.faults.scenarios")
 
     def test_rejects_non_callable_attribute(self):
         with pytest.raises(TypeError):
-            resolve_target("repro.sim.protocol_perf:BASELINE_PROTOCOL_RATES")
+            resolve_target("repro.faults.scenarios:SMALL_MATRIX")
 
 
 class TestSerialSharding:
     def test_results_come_back_in_seed_order(self):
-        results = run_sharded(BROADCAST_TARGET, [5, 6], workers=1, kwargs=SMALL_BROADCAST)
+        results = run_sharded(SHARD_TARGET, [5, 6], workers=1, kwargs=BROADCAST)
         assert len(results) == 2
         # Different seeds produce different event structures.
         assert results[0]["counters"] != results[1]["counters"] or (
@@ -74,37 +68,43 @@ class TestSerialSharding:
         assert merged["histograms"]["h"].mean == 2.0
 
     def test_empty_seed_list(self):
-        assert run_sharded(BROADCAST_TARGET, [], workers=4) == []
+        assert run_sharded(SHARD_TARGET, [], workers=4) == []
+
+
+def assert_same_merge(a, b):
+    assert a["counters"] == b["counters"]
+    assert set(a["histograms"]) == set(b["histograms"])
+    for name, histogram in a["histograms"].items():
+        assert b["histograms"][name].samples == histogram.samples
 
 
 @pytest.mark.skipif(not fork_available, reason="fork start method unavailable")
 class TestParallelIdentity:
     def test_broadcast_parallel_equals_serial(self):
         seeds = [7, 8, 9]
-        serial = run_and_merge(BROADCAST_TARGET, seeds, workers=1, kwargs=SMALL_BROADCAST)
-        parallel = run_and_merge(BROADCAST_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
-        assert parallel["counters"] == serial["counters"]
-        assert set(parallel["histograms"]) == set(serial["histograms"])
-        for name, histogram in serial["histograms"].items():
-            assert parallel["histograms"][name].samples == histogram.samples
+        serial = run_and_merge(SHARD_TARGET, seeds, workers=1, kwargs=BROADCAST)
+        parallel = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=BROADCAST)
+        assert_same_merge(serial, parallel)
+
+    def test_partition_heal_parallel_equals_serial(self):
+        seeds = [7, 8]
+        serial = run_and_merge(SHARD_TARGET, seeds, workers=1, kwargs=PARTITION_HEAL)
+        parallel = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=PARTITION_HEAL)
+        assert_same_merge(serial, parallel)
 
     def test_churn_parallel_equals_serial(self):
         # Fork workers inherit the parent's hash salt, so even the
         # set-iteration-sensitive membership paths merge identically.
         seeds = [3, 4]
-        serial = run_and_merge(CHURN_TARGET, seeds, workers=1, kwargs=SMALL_CHURN)
-        parallel = run_and_merge(CHURN_TARGET, seeds, workers=2, kwargs=SMALL_CHURN)
-        assert parallel["counters"] == serial["counters"]
-        for name, histogram in serial["histograms"].items():
-            assert parallel["histograms"][name].samples == histogram.samples
+        serial = run_and_merge(SHARD_TARGET, seeds, workers=1, kwargs=CHURN)
+        parallel = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=CHURN)
+        assert_same_merge(serial, parallel)
 
     def test_worker_count_does_not_change_results(self):
         seeds = [1, 2, 3, 4]
-        two = run_and_merge(BROADCAST_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
-        three = run_and_merge(BROADCAST_TARGET, seeds, workers=3, kwargs=SMALL_BROADCAST)
-        assert two["counters"] == three["counters"]
-        for name, histogram in two["histograms"].items():
-            assert three["histograms"][name].samples == histogram.samples
+        two = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=BROADCAST)
+        three = run_and_merge(SHARD_TARGET, seeds, workers=3, kwargs=BROADCAST)
+        assert_same_merge(two, three)
 
 
 class TestWorkerKnob:
@@ -119,36 +119,3 @@ class TestWorkerKnob:
     def test_floor_of_one(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "0")
         assert default_workers() == 1
-
-
-class TestChurnErrorAccounting:
-    """The perf churn workload must count — not blanket-swallow — failures."""
-
-    def test_clean_run_swallows_nothing(self):
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        outcome = run_churn_scenario(seed=1, **SMALL_CHURN)
-        assert outcome["swallowed_errors"] == 0
-        assert outcome["completed_operations"] > 0
-
-    def test_membership_errors_are_counted_visibly(self, monkeypatch):
-        from repro.overlay.membership import MembershipEngine, MembershipError
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        def failing_leave(self, node, eviction=False):
-            raise MembershipError("injected failure")
-
-        monkeypatch.setattr(MembershipEngine, "leave", failing_leave)
-        outcome = run_churn_scenario(seed=1, **SMALL_CHURN)
-        assert outcome["swallowed_errors"] > 0
-
-    def test_unexpected_errors_propagate(self, monkeypatch):
-        from repro.overlay.membership import MembershipEngine
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        def broken_leave(self, node, eviction=False):
-            raise RuntimeError("engine bug")
-
-        monkeypatch.setattr(MembershipEngine, "leave", broken_leave)
-        with pytest.raises(RuntimeError):
-            run_churn_scenario(seed=1, **SMALL_CHURN)
