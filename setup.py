@@ -1,11 +1,19 @@
-"""Setuptools shim.
+"""Setuptools packaging for the ``repro`` package under ``src/``.
 
-The pyproject.toml [project] table is the single source of truth for package
-metadata.  This file exists so that the package can be installed in editable
-mode on machines without the ``wheel`` package (legacy ``setup.py develop``
-path), e.g. offline environments.
+This file is the only packaging metadata in the repository (there is no
+``pyproject.toml`` or ``setup.cfg``).  Installing is optional: the tests,
+examples and benchmarks run straight from the checkout with
+``PYTHONPATH=src``.  ``pip install -e .`` (or ``python setup.py develop`` on
+machines without the ``wheel`` package, e.g. offline environments) puts the
+package on the path instead.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

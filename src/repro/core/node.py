@@ -24,7 +24,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
@@ -57,7 +57,15 @@ class BroadcastMessage:
         payload: Application payload.
         size_bytes: Payload size used for network accounting.
         created_at: Simulated time at which ``broadcast`` was invoked.
+
+    A broadcast message is a wire image: once :meth:`AtumNode.broadcast`
+    has built it, neither it nor its ``payload`` may be mutated.  The class
+    is *sealed* for :func:`repro.crypto.digest.digest_object`, which digests
+    an instance once and returns the stored digest at every later hop, so a
+    payload mutated after ``broadcast()`` would keep its old digest.
     """
+
+    _digest_sealed: ClassVar[bool] = True
 
     bcast_id: str
     origin: str
@@ -310,6 +318,9 @@ class AtumNode(Actor):
         Phase one performs a Byzantine broadcast inside the caller's vgroup
         through the SMR engine; phase two gossips the message across the
         overlay.  Returns the broadcast identifier.
+
+        ``payload`` becomes part of the message's wire image and must not be
+        mutated after this call (see :class:`BroadcastMessage`).
         """
         if not self.is_member or self.replica is None:
             raise RuntimeError(f"node {self.address} is not a member of an Atum system")

@@ -1,20 +1,28 @@
 """Message digests (SHA-256) over canonically serialized objects.
 
 The canonical encoding is the hot path: every group message, signature and
-certificate digest passes through it.  Three optimisations keep it cheap while
+certificate digest passes through it.  Three measures keep it cheap while
 producing byte-identical digests to the original implementation:
 
 * the canonical transform walks dataclasses field-by-field instead of calling
   :func:`dataclasses.asdict` (which deep-copies the whole object graph), and
   leaves key sorting to ``json.dumps(sort_keys=True)`` instead of pre-sorting;
-* digests of immutable payloads (frozen dataclasses, tuples, strings, ...)
-  are memoised in a bounded identity-keyed LRU — in-simulation payload objects
-  are shared by reference across nodes, so re-digesting the same broadcast at
-  every hop becomes a dictionary hit;
+* *sealed* objects — instances of a class that sets ``_digest_sealed = True``,
+  such as :class:`repro.core.node.BroadcastMessage` — are wire images: they
+  are never mutated once sent, so :func:`digest_object` stores their digest
+  on the instance (outside the dataclass fields, so the encoding is
+  unchanged) and every later call returns it.  A broadcast is shared by
+  reference across the m×m group-message fan-out of every hop, so it is
+  encoded and hashed once per digest mode instead of once per send.  A copy
+  built with :func:`dataclasses.replace` is a new instance with its own
+  digest;
 * a pluggable "cost-model-only" mode (:func:`set_digest_mode`) skips SHA-256
   entirely and uses the canonical encoding itself as the digest token, for
   benchmarks that only need timing, not cryptography.  Tokens remain
   deterministic and collision-free, so protocol equality checks still hold.
+
+Nothing else is cached: every other object is encoded and hashed on each
+call, so mutating it changes its digest.
 
 Set sorting uses an explicit fallback key so mixed-type sets cannot raise
 ``TypeError`` (sets of a single comparable type keep their historical order,
@@ -58,14 +66,15 @@ def get_digest_mode() -> str:
 
 
 def set_digest_mode(mode: str) -> None:
-    """Switch the global digest mode; clears the digest memo on a real switch."""
+    """Switch the global digest mode.
+
+    Digests stored on sealed objects carry the mode they were made in, so
+    a switch never returns a token of the previous mode.
+    """
     global _digest_mode
     if mode not in _DIGEST_MODES:
         raise ValueError(f"unknown digest mode {mode!r}; expected one of {_DIGEST_MODES}")
-    if mode == _digest_mode:
-        return
     _digest_mode = mode
-    _memo.clear()
 
 
 @contextmanager
@@ -193,42 +202,8 @@ def digest_object_in_mode(obj: Any, mode: str) -> Digest:
     return _digest_encoded(canonical_encode(obj), mode)
 
 
-# ---------------------------------------------------------------------- memo
-#
-# Identity-keyed LRU for digests of immutable payloads.  Keys are ``id(obj)``
-# and each entry keeps a strong reference to the object, which guarantees the
-# id cannot be recycled while the entry is alive.  Only types whose value
-# cannot change under an existing reference are memoised.
-
-_MEMO_LIMIT = 8192
-_memo: Dict[int, Tuple[Any, str]] = {}
-_MEMO_SCALAR_TYPES = (str, bytes, int, float, complex, type(None))
-
-
-def _memoizable(obj: Any) -> bool:
-    """Whether ``obj`` is *deeply* immutable and safe to memoise by identity.
-
-    The outer type being immutable is not enough: a tuple or frozen dataclass
-    can hold a mutable dict/list whose mutation would change the digest while
-    the identity stays the same.  The walk runs once per memo store (hits
-    never reach it), so its cost is amortised away.
-    """
-    if isinstance(obj, _MEMO_SCALAR_TYPES):
-        return True
-    if isinstance(obj, (tuple, frozenset)):
-        return all(_memoizable(item) for item in obj)
-    params = getattr(obj.__class__, "__dataclass_params__", None)
-    if params is not None and params.frozen:
-        return all(
-            _memoizable(getattr(obj, name))
-            for name in _dataclass_field_names(obj.__class__)
-        )
-    return False
-
-
-def clear_digest_memo() -> None:
-    """Drop all memoised digests (tests and mode switches)."""
-    _memo.clear()
+#: Instance attribute holding a sealed object's ``(mode, digest)`` pair.
+_SEALED_DIGEST_ATTR = "_sealed_digest"
 
 
 def digest_bytes(data: bytes) -> Digest:
@@ -244,26 +219,19 @@ def digest_object(obj: Any) -> Digest:
     ``cost_only`` mode it is the canonical encoding itself, prefixed with
     ``cm:`` — equal objects still map to equal digests, distinct objects to
     distinct digests, but no cryptographic hash is computed.
+
+    A sealed object (its class sets ``_digest_sealed = True`` and its
+    instances have a ``__dict__``) is digested once per mode; the result is
+    stored on the instance and returned by every later call.
     """
-    key = id(obj)  # atumlint: allow[ATL008] identity-LRU memo key, guarded by `is obj`; never ordered or serialized
-    entry = _memo.get(key)
-    if entry is not None and entry[0] is obj:
-        # Refresh recency so hot shared payloads are not evicted first.
-        del _memo[key]
-        _memo[key] = entry
-        return entry[1]
-    result = _digest_encoded(
-        json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str),
-        _digest_mode,
-    )
-    # The deep-immutability walk runs only on the store path; memo hits
-    # return above on a single dict probe.
-    if _memoizable(obj):
-        if len(_memo) >= _MEMO_LIMIT:
-            # Evict the oldest entry (dicts preserve insertion order).
-            _memo.pop(next(iter(_memo)))
-        _memo[id(obj)] = (obj, result)  # atumlint: allow[ATL008] identity-LRU memo key; cache only, never protocol state
-    return result
+    if getattr(obj.__class__, "_digest_sealed", False):
+        sealed = obj.__dict__.get(_SEALED_DIGEST_ATTR)
+        if sealed is not None and sealed[0] == _digest_mode:
+            return sealed[1]
+        result = _digest_encoded(canonical_encode(obj), _digest_mode)
+        object.__setattr__(obj, _SEALED_DIGEST_ATTR, (_digest_mode, result))
+        return result
+    return _digest_encoded(canonical_encode(obj), _digest_mode)
 
 
 __all__ = [
@@ -271,7 +239,6 @@ __all__ = [
     "DIGEST_MODE_REAL",
     "DIGEST_MODE_COST_ONLY",
     "canonical_encode",
-    "clear_digest_memo",
     "digest_bytes",
     "digest_mode",
     "digest_object",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Iterable
 
 from repro.crypto.digest import (
     digest_object,
@@ -105,6 +105,24 @@ class KeyRegistry:
         if signature.digest != digest:
             return False
         return hmac.compare_digest(key.mac_of(digest), signature.mac)
+
+    def verify_all(self, signatures: Iterable[Signature], obj: Any) -> bool:
+        """Return ``True`` iff every signature in ``signatures`` signs ``obj``.
+
+        ``obj`` is digested at most once per token mode among the signatures
+        (normally exactly one), instead of once per signature; like
+        :meth:`verify`, each signature is checked in the mode its digest
+        token was created under.  Stops at the first invalid signature.
+        """
+        digest_per_mode: Dict[str, str] = {}
+        for signature in signatures:
+            mode = digest_token_mode(signature.digest)
+            expected = digest_per_mode.get(mode)
+            if expected is None:
+                expected = digest_per_mode[mode] = digest_object_in_mode(obj, mode)
+            if not self.verify_digest(signature, expected):
+                return False
+        return True
 
     def verify_or_raise(self, signature: Signature, obj: Any) -> None:
         if not self.verify(signature, obj):

@@ -1811,7 +1811,10 @@ def run_matrix(
 
     All cells fan out over one :func:`repro.sim.runpar.run_sharded` pool;
     results come back in input order, so per-scenario merges stay in seed
-    order and the rows are deterministic for any worker count.
+    order.  The rows are *not* yet independent of the worker count: a cell
+    can depend on which cells ran before it in the same worker process and
+    on ``PYTHONHASHSEED`` (ROADMAP.md open item 1), so reproducing a
+    committed matrix needs the same ``--workers`` and a pinned hash seed.
     """
     scenario_names = list(names or SMALL_MATRIX)
     seeds = list(seeds)

@@ -21,7 +21,11 @@ Hot-path layout (the m×m fan-out of every broadcast hop flows through here):
   immutable, so identity is a sound cache key);
 * :meth:`GroupMessenger.handle` keeps ``__slots__`` accumulation state, drops
   it on delivery, and dedups shares of already-accepted gm-ids with a single
-  O(1) set lookup.
+  O(1) set lookup;
+* the payload digest is computed once per broadcast, not once per send: the
+  gossiped :class:`repro.core.node.BroadcastMessage` is sealed (see
+  :mod:`repro.crypto.digest`), so :meth:`GroupMessenger.send` and the
+  receiver's payload check read the digest stored on the message.
 """
 
 from __future__ import annotations
@@ -279,11 +283,19 @@ class GroupMessenger:
                 state = self._conflicting[key] = _PendingGroupMessage(
                     digest, (size if size > 1 else 1) // 2 + 1
                 )
-        senders = state.senders
-        senders.add(sender)
         payload = envelope.payload
         if payload is not None and state.full_payload is None:
+            # Payload substitution: a Byzantine full-copy sender could pair
+            # the honest digest with a forged payload, which would then be
+            # delivered once honest shares accept the digest.  Only a payload
+            # that matches the digest is adopted; a mismatching share is
+            # dropped whole.  Sealed broadcasts make this an attribute read.
+            if not self.verify_share(envelope):
+                self.binding.sim.metrics.increment("group.mismatched_payloads_dropped")
+                return
             state.full_payload = payload
+        senders = state.senders
+        senders.add(sender)
 
         if not state.accepted and len(senders) >= state.required:
             # Forged-size rejection: the claimed sender-group size sets the

@@ -298,6 +298,11 @@ METRICS = {
         "modules": ('repro/faults/scenarios.py',),
         "matrix_column": True,
     },
+    'group.mismatched_payloads_dropped': {
+        "kind": 'counter',
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
+    },
     'invariants.check_errors': {
         "kind": 'counter',
         "modules": ('repro/faults/invariants.py',),

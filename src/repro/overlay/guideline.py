@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy import stats
-
 from repro.overlay.hgraph import HGraph
 from repro.overlay.random_walk import structural_walk
 from repro.sim.rng import named_stream
@@ -43,6 +41,10 @@ def uniformity_pvalue(
     distribution.  A *high* p-value means the test cannot distinguish the
     sample from uniform (the desired outcome).
     """
+    # Imported here so importing the overlay (and the whole cluster stack)
+    # does not pay for scipy.
+    from scipy import stats
+
     vertices = [f"g{i}" for i in range(num_groups)]
     graph = HGraph.random(vertices, hc, rng)
     total_samples = samples_per_group * num_groups

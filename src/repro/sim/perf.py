@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, ClassVar, Dict, Optional
 
 from repro.crypto.digest import digest_object
 from repro.sim.simulator import Simulator
@@ -44,7 +44,13 @@ TARGET_SPEEDUP = 3.0
 
 @dataclass(frozen=True)
 class _PerfPayload:
-    """Representative broadcast payload digested by the mixed scenario."""
+    """Representative broadcast payload digested by the mixed scenario.
+
+    Sealed like :class:`repro.core.node.BroadcastMessage`, so re-digesting
+    an in-flight payload reads its stored digest.
+    """
+
+    _digest_sealed: ClassVar[bool] = True
 
     origin: str
     index: int
@@ -119,7 +125,7 @@ def measure_mixed(
     def on_event(count: int, delay: float) -> None:
         hist.record(delay)
         if count % 10 == 0:
-            # Re-digest of an in-flight payload object (memoisable).
+            # Re-digest of an in-flight (sealed) payload object.
             digest_object(payloads[count % len(payloads)])
         if count % 25 == 0:
             # Fresh, never-seen payload (exercises the canonical encoder).

@@ -739,14 +739,10 @@ class CheckpointManager:
         statement = checkpoint_statement(
             certificate.epoch, certificate.seq, certificate.state_digest
         )
-        # registry.verify (not verify_digest against one precomputed
-        # digest): each signature's digest is recomputed in the token mode
-        # it was *created* under, so certificates survive a global
-        # digest-mode switch exactly like every other signature.
-        return all(
-            replica.registry.verify(signature, statement)
-            for signature in certificate.signatures
-        )
+        # verify_all checks each signature in the token mode it was
+        # *created* under, so certificates survive a global digest-mode
+        # switch exactly like every other signature.
+        return replica.registry.verify_all(certificate.signatures, statement)
 
     def _transition_chain_error(
         self,
@@ -821,10 +817,7 @@ class CheckpointManager:
         statement = transition_statement(
             record.new_epoch, record.members, record.prev_members, record.certificate
         )
-        if not all(
-            self.replica.registry.verify(signature, statement)
-            for signature in record.signatures
-        ):
+        if not self.replica.registry.verify_all(record.signatures, statement):
             return "transition_bad_signature"
         return None
 

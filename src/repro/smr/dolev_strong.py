@@ -197,24 +197,27 @@ class SyncSmrReplica(SmrReplica):
 
     # ------------------------------------------------------------------ relaying
 
-    def _valid_signature_chain(self, message: DolevStrongMessage) -> bool:
-        """Check the signature chain: starts at the sender, distinct signers."""
+    def _valid_signature_chain(self, message: DolevStrongMessage) -> Optional[str]:
+        """Check the signature chain: starts at the sender, distinct signers.
+
+        Returns the digest of ``message.value`` when the chain is valid, and
+        ``None`` otherwise.
+        """
         if not message.signatures:
-            return False
+            return None
         if message.signatures[0].signer != message.sender_of_instance:
-            return False
+            return None
         signers = [signature.signer for signature in message.signatures]
         if len(set(signers)) != len(signers):
-            return False
+            return None
         digest = digest_object(message.value)
-        statement = (message.instance_id, digest)
-        for signature in message.signatures:
-            if not self.registry.verify(signature, statement):
-                return False
-        return True
+        if not self.registry.verify_all(message.signatures, (message.instance_id, digest)):
+            return None
+        return digest
 
     def _handle_relay(self, message: DolevStrongMessage, sender: str) -> None:
-        if not self._valid_signature_chain(message):
+        digest = self._valid_signature_chain(message)
+        if digest is None:
             self.sim.metrics.increment("smr.sync.invalid_chain")
             return
         instance = self._instances.get(message.instance_id)
@@ -228,7 +231,6 @@ class SyncSmrReplica(SmrReplica):
             self._instances[message.instance_id] = instance
         if instance.decided:
             return
-        digest = digest_object(message.value)
         if digest not in instance.accepted:
             instance.accepted[digest] = message.value
         if digest in instance.relayed:

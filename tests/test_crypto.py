@@ -17,7 +17,7 @@ from repro.crypto import (
     get_digest_mode,
 )
 from repro.crypto.certificates import make_certificate
-from repro.crypto.digest import _canonical, canonical_encode, clear_digest_memo
+from repro.crypto.digest import _canonical, canonical_encode
 
 
 class TestDigests:
@@ -112,7 +112,6 @@ class TestDigests:
             a: int
             b: str
 
-        clear_digest_memo()
         payload = Frozen(1, "x")
         first = digest_object(payload)
         assert digest_object(payload) == first  # memo hit
@@ -131,7 +130,6 @@ class TestDigests:
             kind: str
             body: Any
 
-        clear_digest_memo()
         op = Operation("broadcast", {"k": 1})
         before = digest_object(op)
         op.body["k"] = 999
@@ -158,10 +156,94 @@ class TestDigests:
             def __post_init__(self, b):
                 object.__setattr__(self, "total", self.a + b)
 
-        clear_digest_memo()
         first = digest_object(WithInit(1, 2))
         assert first == digest_object(WithInit(1, 2))
         assert first != digest_object(WithInit(1, 3))
+
+
+class TestSealedDigests:
+    """A sealed ``BroadcastMessage`` is digested once per digest mode."""
+
+    @staticmethod
+    def _message(payload):
+        from repro.core.node import BroadcastMessage
+
+        return BroadcastMessage(
+            bcast_id="bc-1", origin="n0", payload=payload, size_bytes=100, created_at=0.0
+        )
+
+    def test_sealing_leaves_the_encoding_unchanged(self):
+        message = self._message({"k": 1})
+        with digest_mode(DIGEST_MODE_REAL):
+            first = digest_object(message)
+            assert first == digest_object(self._message({"k": 1}))
+            assert canonical_encode(message) == canonical_encode(self._message({"k": 1}))
+
+    def test_sealed_message_keeps_its_broadcast_time_digest(self):
+        message = self._message({"k": 1})
+        with digest_mode(DIGEST_MODE_REAL):
+            sent = digest_object(message)
+            # A wire image must not be mutated after broadcast(); if it is,
+            # the stored digest is what every later hop sees.
+            message.payload["k"] = 2
+            assert digest_object(message) == sent
+            assert digest_object(self._message({"k": 2})) != sent
+
+    def test_replace_gets_a_fresh_digest(self):
+        from dataclasses import replace
+
+        message = self._message({"k": 1})
+        with digest_mode(DIGEST_MODE_REAL):
+            honest = digest_object(message)
+            forged = replace(message, payload=("equivocated", message.payload))
+            assert digest_object(forged) != honest
+            assert digest_object(forged) == digest_object(
+                self._message(("equivocated", {"k": 1}))
+            )
+            assert digest_object(message) == honest
+
+    def test_mode_switch_never_returns_a_stale_token(self):
+        message = self._message({"k": 1})
+        with digest_mode(DIGEST_MODE_REAL):
+            real = digest_object(message)
+            with digest_mode(DIGEST_MODE_COST_ONLY):
+                cheap = digest_object(message)
+                assert cheap.startswith("cm:")
+                assert cheap == digest_object(self._message({"k": 1}))
+            assert digest_object(message) == real
+            assert not real.startswith("cm:")
+
+    @pytest.mark.parametrize("mode", [DIGEST_MODE_REAL, DIGEST_MODE_COST_ONLY])
+    def test_cluster_broadcast_encodes_each_message_once(self, monkeypatch, mode):
+        from repro.core.cluster import AtumCluster
+        from repro.core.config import AtumParameters
+        from repro.core.node import BroadcastMessage
+        from repro.crypto import digest as digest_module
+
+        encoded = []
+        original = digest_module.canonical_encode
+
+        def counting_encode(obj):
+            if isinstance(obj, BroadcastMessage):
+                encoded.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(digest_module, "canonical_encode", counting_encode)
+        with digest_mode(mode):
+            cluster = AtumCluster(
+                AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, round_duration=0.5), seed=9
+            )
+            cluster.build_static([f"n{i}" for i in range(16)])
+            bcast = {}
+            cluster.sim.schedule(
+                0.5, lambda: bcast.setdefault("id", cluster.broadcast("n0", {"v": 1}))
+            )
+            cluster.run(until=30.0)
+            assert all(node.has_delivered(bcast["id"]) for node in cluster.nodes.values())
+        # The gossip stack shares one message object, digested for every
+        # group-message share sent and received, but encoded only once.
+        assert len(encoded) == 1
+        assert all(message.bcast_id == bcast["id"] for message in encoded)
 
 
 class TestDigestModes:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry
 from repro.group import (
     GroupCostModel,
@@ -398,17 +399,45 @@ class TestGroupMessengerFastPath:
 
         # Two Byzantine members push a forged digest; three correct members
         # send the real one.  Only the real message reaches a majority.
-        share("forged", "bad-digest", "a0")
-        share("forged", "bad-digest", "a1")
-        share("real", "good-digest", "a2")
-        share("real", "good-digest", "a3")
+        # Each share's payload matches its digest, or the receiver drops it.
+        bad_digest, good_digest = digest_object("forged"), digest_object("real")
+        share("forged", bad_digest, "a0")
+        share("forged", bad_digest, "a1")
+        share("real", good_digest, "a2")
+        share("real", good_digest, "a3")
         assert hosts[receiver].accepted == []
-        share("real", "good-digest", "a4")
+        share("real", good_digest, "a4")
         payloads = [p for _, p, _, _ in hosts[receiver].accepted]
         assert payloads == ["real"]
         # The forged bucket can never deliver now: the gm id is retired and
         # its conflicting buckets were purged with it.
         assert messenger.pending_count() == 0
-        share("forged", "bad-digest", "a4")
+        share("forged", bad_digest, "a4")
         assert [p for _, p, _, _ in hosts[receiver].accepted] == ["real"]
         assert messenger.pending_count() == 0
+
+    def test_forged_payload_under_honest_digest_is_dropped(self):
+        # A Byzantine full-copy sender pairs the honest digest with a forged
+        # payload and gets its share in first.  Receivers must not adopt the
+        # forged payload once the honest shares accept the digest.
+        sim, group_a, group_b, hosts = self._wire()
+        honest = {"x": 1}
+        forged = GroupMessageEnvelope(
+            gm_id="gm-swap",
+            source_group="A",
+            source_epoch=0,
+            target_group="B",
+            kind="gossip",
+            payload={"x": 666},
+            digest=digest_object(honest),
+            sender_group_size=group_a.size,
+        )
+        network = hosts["a0"].messenger.binding.network
+        network.send_fanout("a0", group_b.members, forged, 1024)
+        for sender in group_a.members[1:]:
+            hosts[sender].messenger.send(group_b, "gossip", honest, gm_id="gm-swap")
+        sim.run()
+        for receiver in group_b.members:
+            assert hosts[receiver].accepted == [("gossip", honest, "A", "gm-swap")]
+            assert hosts[receiver].messenger.pending_count() == 0
+        assert sim.metrics.counter("group.mismatched_payloads_dropped") == group_b.size
