@@ -10,6 +10,13 @@ protocol behaviour:
 * optional message loss and network partitions;
 * delivery only to registered, alive actors (a crashed or departed node
   silently drops traffic, like a closed socket).
+
+In-flight messages queue on per-receiver links (:class:`_Delivery`): each
+receiver's link holds its messages in send order and keeps at most one entry
+on the simulator's event heap, keyed by the head message.  Delivery times
+along one downlink only grow in send order, so the heap's merge of the link
+heads processes messages in exactly the ``(time, priority, seq)`` order that
+one heap entry per message would.
 """
 
 from __future__ import annotations
@@ -57,45 +64,72 @@ class NetworkConfig:
 
 
 class _Delivery(Event):
-    """A queued in-flight delivery: ONE slotted object per message.
+    """A receiver's downlink: its in-flight messages, in send order.
 
-    Every send entry point of :class:`Network` schedules these: the object
-    carries the wire fields, *is* the scheduled event, and *is* its own
-    callback (``callback = self``), so no ``Message`` or ``partial`` is
-    allocated per message.
+    One link per receiver carries the downlink state of that receiver
+    (``free_at``, when its last queued transfer completes) and a FIFO of
+    ``(time, seq, sender, payload, sent_at)`` records.  Every send entry point
+    of :class:`Network` sets a message's delivery time to
+    ``max(now + propagation, free_at) + transfer`` and writes it back to
+    ``free_at``, so one link's records are sorted by their ``(time, seq)``
+    keys.  While the FIFO is non-empty the link sits on the event heap exactly
+    once, as ``(head time, 0, head seq, link)``: the heap becomes a k-way
+    merge of sorted runs and pops messages in the same global order as one
+    entry per message, each message still being one popped event, one
+    processed event and one ``net.deliver`` trace tag.  (A zero-size,
+    zero-header transfer can leave a key one float rounding *below* the
+    tail; :meth:`Network._arm` gives such a record a one-off link of its
+    own.)
+
+    The link *is* the scheduled event and *is* its own callback (``callback =
+    self``), so a message costs one record tuple and no event object.  Each
+    call takes the head record and re-arms the link with the next head,
+    updating ``time`` so :meth:`Simulator.step` sees that message's own time,
+    *before* delivering: a message the receiver sends back to itself from
+    ``on_message`` queues behind the records already waiting.  The FIFO is a
+    list with a read index, cleared when it drains and compacted once at
+    least 64 delivered records make up half of it, so a link that never
+    drains does not keep delivered payloads alive.
     """
 
-    __slots__ = ("network", "sender", "receiver", "payload", "sent_at")
+    __slots__ = ("network", "receiver", "fifo", "index", "free_at")
 
     # Shadow the parent's ``priority``/``tag``/``seq`` slots with class-level
     # constants: every delivery shares the first two, and ``seq`` is only
-    # carried in the heap tuple, so per-instance stores would be pure
-    # overhead.  (They are read-only for deliveries; ``cancelled`` stays a
-    # real slot because ``cancel()`` writes it.)
+    # carried in the heap tuple and the record, so per-instance stores would
+    # be pure overhead.  (They are read-only for deliveries; ``cancelled``
+    # stays a real slot because ``cancel()`` writes it.)
     priority = 0
     tag = "net.deliver"
     seq = -1
 
-    def __init__(
-        self,
-        time: float,
-        network: "Network",
-        sender: str,
-        receiver: str,
-        payload: Any,
-        sent_at: float,
-    ) -> None:
-        self.time = time
+    def __init__(self, network: "Network", receiver: str) -> None:
+        self.time = 0.0
         self.callback = self
         self.cancelled = False
         self.network = network
-        self.sender = sender
         self.receiver = receiver
-        self.payload = payload
-        self.sent_at = sent_at
+        self.fifo: list = []
+        self.index = 0
+        self.free_at = 0.0
 
     def __call__(self) -> None:
+        fifo = self.fifo
+        index = self.index
+        time, _, sender, payload, sent_at = fifo[index]
+        index += 1
         network = self.network
+        if index == len(fifo):
+            fifo.clear()
+            index = 0
+        else:
+            if index >= 64 and index + index >= len(fifo):
+                del fifo[:index]
+                index = 0
+            head = fifo[index]
+            self.time = head_time = head[0]
+            heappush(network._heap, (head_time, 0, head[1], self))
+        self.index = index
         receiver = self.receiver
         actor = network._actors.get(receiver)
         counters = network._counters
@@ -105,15 +139,15 @@ class _Delivery(Event):
         if receiver in network._partitioned:
             counters["net.messages_partitioned"] += 1.0
             return
-        if network._splits and network.crosses_split(self.sender, receiver):
+        if network._splits and network.crosses_split(sender, receiver):
             # A split that formed while the message was in flight.
             counters["net.messages_partitioned"] += 1.0
             return
         counters["net.messages_delivered"] += 1.0
-        # ``self.time`` equals the simulator clock at delivery, saving the
-        # ``network.sim._now`` chain on every message.
-        network._delivery_latency.record(self.time - self.sent_at)
-        actor.on_message(self.payload, self.sender)
+        # The record's ``time`` equals the simulator clock at delivery,
+        # saving the ``network.sim._now`` chain on every message.
+        network._delivery_latency.record(time - sent_at)
+        actor.on_message(payload, sender)
 
 
 class _FanoutDelivery(Event):
@@ -206,9 +240,12 @@ class Network:
         self._send_hooks = None
         self._middleware = None
         self._send_scenario = ""
-        # Tracks when each receiving node's downlink frees up, used to model
-        # queueing of large transfers at the receiver.
-        self._downlink_free_at: Dict[str, float] = {}
+        # One link per receiver ever sent to: when its downlink frees up
+        # (queueing of large transfers at the receiver) and the in-flight
+        # messages queued on it.  Links are never dropped, so a receiver's
+        # delivery times never go backwards.
+        self._links: Dict[str, _Delivery] = {}
+        self._heap = sim.queue._heap
         # Hot-path handles: the burst pipeline updates counters and the
         # delivery-latency histogram directly instead of going through the
         # registry methods on every message.
@@ -220,11 +257,6 @@ class Network:
     def register(self, actor: Actor) -> None:
         """Attach an actor to the network so it can receive messages."""
         self._actors[actor.address] = actor
-
-    def unregister(self, address: str) -> None:
-        """Detach an actor; future messages to it are dropped."""
-        self._actors.pop(address, None)
-        self._downlink_free_at.pop(address, None)
 
     def actor(self, address: str) -> Optional[Actor]:
         return self._actors.get(address)
@@ -396,8 +428,8 @@ class Network:
 
         The m-destination group-message fan-out is the hottest send shape, so
         it inlines the :meth:`send_one` pipeline over the burst: one shuffled
-        receiver list, one transfer time computed for the burst, one slotted
-        delivery object per receiver.  RNG draws (shuffle permutation, loss
+        receiver list, one transfer time computed for the burst, one record
+        queued on each receiver's link.  RNG draws (shuffle permutation, loss
         draws, latency samples), float arithmetic and event order are
         identical to the equivalent :meth:`send_burst` call.
         """
@@ -426,8 +458,8 @@ class Network:
         splits = self._splits
         loss = config.loss_probability
         constant_latency = self.latency_model.constant_latency
-        downlink = self._downlink_free_at
-        downlink_get = downlink.get
+        links = self._links
+        links_get = links.get
         queue = sim.queue
         heap = queue._heap
         seq = queue._seq
@@ -442,11 +474,12 @@ class Network:
                 bucket_time = None
                 bucket: Optional[list] = None
                 for receiver in batch:
-                    arrival_start = downlink_get(receiver, 0.0)
+                    link = links_get(receiver) or self._add_link(receiver)
+                    arrival_start = link.free_at
                     if arrival_start < propagated:
                         arrival_start = propagated
                     delivery_time = arrival_start + transfer
-                    downlink[receiver] = delivery_time
+                    link.free_at = delivery_time
                     if delivery_time == bucket_time:
                         bucket.append(receiver)
                         continue
@@ -460,14 +493,17 @@ class Network:
                 # Tight loop for the dominant case: healthy network, constant
                 # latency — one attribute-free pass per receiver.
                 for receiver in batch:
-                    arrival_start = downlink_get(receiver, 0.0)
+                    link = links_get(receiver) or self._add_link(receiver)
+                    arrival_start = link.free_at
                     if arrival_start < propagated:
                         arrival_start = propagated
                     delivery_time = arrival_start + transfer
-                    downlink[receiver] = delivery_time
+                    link.free_at = delivery_time
                     scheduled = now + (delivery_time - now)
-                    event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                    heappush(heap, (scheduled, 0, seq, event))
+                    fifo = link.fifo
+                    if not fifo or scheduled < fifo[-1][0]:
+                        fifo = self._arm(link, scheduled, seq)
+                    fifo.append((scheduled, seq, sender, payload, now))
                     seq += 1
             dispatched = count
         else:
@@ -489,19 +525,22 @@ class Network:
                     if constant_latency is not None
                     else sample(rng, sender, receiver)
                 )
+                link = links_get(receiver) or self._add_link(receiver)
                 arrival_start = now + propagation
-                free_at = downlink_get(receiver, 0.0)
+                free_at = link.free_at
                 if free_at > arrival_start:
                     arrival_start = free_at
                 delivery_time = arrival_start + transfer
-                downlink[receiver] = delivery_time
+                link.free_at = delivery_time
                 scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                heappush(heap, (scheduled, 0, seq, event))
+                fifo = link.fifo
+                if not fifo or scheduled < fifo[-1][0]:
+                    fifo = self._arm(link, scheduled, seq)
+                fifo.append((scheduled, seq, sender, payload, now))
                 seq += 1
                 dispatched += 1
-        # seq advanced once per pushed event (coalesced buckets push fewer
-        # events than messages), so the live count follows the seq delta.
+        # seq advanced once per queued message or coalesced bucket (buckets
+        # count as one event each), so the live count follows the seq delta.
         queue._live += seq - queue._seq
         queue._seq = seq
         return dispatched
@@ -517,8 +556,9 @@ class Network:
 
         The single-message send path (:meth:`send` and :meth:`send_burst` ride
         it): drop checks, one latency sample, one downlink update and one
-        :class:`_Delivery` push.  Use it directly on hot paths that need no
-        :class:`Message` handle (heartbeats).
+        record queued on the receiver's :class:`_Delivery` link.  Use it
+        directly on hot paths that need no :class:`Message` handle
+        (heartbeats).
         """
         counters = self._counters
         counters["net.messages_sent"] += 1.0
@@ -547,22 +587,47 @@ class Network:
             if constant_latency is not None
             else latency_model.sample(rng, sender, receiver)
         )
+        link = self._links.get(receiver) or self._add_link(receiver)
         arrival_start = now + propagation
-        free_at = self._downlink_free_at.get(receiver, 0.0)
+        free_at = link.free_at
         if free_at > arrival_start:
             arrival_start = free_at
         delivery_time = arrival_start + (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
-        self._downlink_free_at[receiver] = delivery_time
+        link.free_at = delivery_time
         scheduled = now + (delivery_time - now)
         queue = sim.queue
         seq = queue._seq
-        event = _Delivery(scheduled, self, sender, receiver, payload, now)
-        heappush(queue._heap, (scheduled, 0, seq, event))
+        fifo = link.fifo
+        if not fifo or scheduled < fifo[-1][0]:
+            fifo = self._arm(link, scheduled, seq)
+        fifo.append((scheduled, seq, sender, payload, now))
         queue._seq = seq + 1
         queue._live += 1
         return True
 
     # ----------------------------------------------------------------- internals
+
+    def _add_link(self, receiver: str) -> _Delivery:
+        link = self._links[receiver] = _Delivery(self, receiver)
+        return link
+
+    def _arm(self, link: _Delivery, scheduled: float, seq: int) -> list:
+        """Put a link on the heap for the record keyed ``(scheduled, seq)``.
+
+        Called when ``link`` is idle, or when the record sorts before the
+        busy link's tail: a receiver's delivery times grow by one transfer
+        time per message, but the event key ``now + (delivery_time - now)``
+        is rounded, so with a zero transfer time (zero size and zero
+        headers) a later message's key can land one rounding step below the
+        tail's.  Such a record rides a one-off link of its own, so every
+        FIFO stays sorted and the heap still pops in exact key order.
+        Returns the FIFO to append the record to.
+        """
+        if link.fifo:
+            link = _Delivery(self, link.receiver)
+        link.time = scheduled
+        heappush(self._heap, (scheduled, 0, seq, link))
+        return link.fifo
 
     def _schedule_intercepted(
         self, sender: str, receiver: str, payload: Any, size_bytes: int
@@ -627,20 +692,21 @@ class Network:
             else latency_model.sample(rng, sender, receiver)
         ) + extra_delay
         transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
-        downlink = self._downlink_free_at
+        link = self._links.get(receiver) or self._add_link(receiver)
         queue = sim.queue
-        heap = queue._heap
         seq = queue._seq
         for _ in range(copies):
             arrival_start = now + propagation
-            free_at = downlink.get(receiver, 0.0)
+            free_at = link.free_at
             if free_at > arrival_start:
                 arrival_start = free_at
             delivery_time = arrival_start + transfer
-            downlink[receiver] = delivery_time
+            link.free_at = delivery_time
             scheduled = now + (delivery_time - now)
-            event = _Delivery(scheduled, self, sender, receiver, payload, now)
-            heappush(heap, (scheduled, 0, seq, event))
+            fifo = link.fifo
+            if not fifo or scheduled < fifo[-1][0]:
+                fifo = self._arm(link, scheduled, seq)
+            fifo.append((scheduled, seq, sender, payload, now))
             seq += 1
         queue._live += seq - queue._seq
         queue._seq = seq

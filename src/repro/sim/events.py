@@ -5,9 +5,13 @@ guarantees a deterministic total order even when many events share the same
 timestamp, which is essential for reproducible simulations.
 
 The queue is the hottest data structure in the repository: every message
-delivery, timer and protocol round passes through it.  Two choices keep it
-fast while preserving the exact ordering semantics of the original
-implementation:
+delivery, timer and protocol round passes through it.  Its entries are the
+scheduled timers plus one entry per *busy network link*: the network queues
+in-flight messages on per-receiver FIFOs and keeps only each link's head on
+the heap (see :class:`repro.net.network._Delivery`), so the heap stays a few
+hundred entries deep during all-to-all fan-out bursts while ``len()`` still
+counts every pending message.  Two choices keep it fast while preserving the
+exact ordering semantics of the original implementation:
 
 * heap entries are plain ``(time, priority, seq, event)`` tuples, so all
   sift comparisons run as C tuple comparisons instead of Python-level
@@ -129,11 +133,6 @@ class EventQueue:
         """Account for an externally cancelled event (keeps ``len`` accurate)."""
         if self._live > 0:
             self._live -= 1
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self._live = 0
 
 
 __all__ = ["Event", "EventQueue"]

@@ -1,9 +1,12 @@
 """Unit tests for the network substrate."""
 
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.middleware import Middleware, MiddlewareChain
 from repro.net import (
     FixedLatency,
     LanProfile,
@@ -13,7 +16,8 @@ from repro.net import (
     UniformLatency,
     WanProfile,
 )
-from repro.net.latency import RegionalLatency, DEFAULT_REGIONS
+from repro.net.latency import LatencyModel, RegionalLatency, DEFAULT_REGIONS
+from repro.net.network import _Delivery
 from repro.sim import Simulator
 from repro.sim.actor import Actor
 
@@ -289,6 +293,232 @@ class TestSendPathEquivalence:
             assert outcome["latencies"] == reference["latencies"], entry_point
             assert outcome["dispatched"] == reference["dispatched"], entry_point
             assert outcome["rng_state"] == reference["rng_state"], entry_point
+
+
+class Bouncer(Recorder):
+    """Records deliveries and re-sends ``(tag, bounces)`` payloads to itself.
+
+    A payload with ``bounces > 0`` is sent on to this same receiver from
+    inside ``on_message``, through the entry point picked by its tag, so a
+    same-receiver send happens while the receiver's link is mid-delivery.
+    """
+
+    def __init__(self, sim, address, network, dispatched):
+        super().__init__(sim, address)
+        self.network = network
+        self.dispatched = dispatched
+
+    def on_message(self, payload, sender):
+        super().on_message(payload, sender)
+        tag, bounces = payload
+        if bounces > 0:
+            _send(self.network, ENTRY_POINTS[tag % 4], sender, [self.address],
+                  (tag, bounces - 1), 200, self.dispatched)
+
+
+class Perturb(Middleware):
+    """Adds propagation delay and duplicate copies, keyed on the payload tag."""
+
+    def on_send(self, ctx):
+        tag = ctx.payload[0]
+        ctx.extra_delay = (tag % 3) * 0.0005
+        ctx.copies = 1 + tag % 2
+
+
+ENTRY_POINTS = ("send", "send_one", "send_burst", "send_fanout")
+ADDRESSES = ("a", "b", "c", "d", "e")
+
+
+def _send(network, entry_point, sender, receivers, payload, size, dispatched):
+    if entry_point == "send":
+        dispatched[0] += sum(network.send(sender, r, payload, size) is not None for r in receivers)
+    elif entry_point == "send_one":
+        dispatched[0] += sum(network.send_one(sender, r, payload, size) for r in receivers)
+    elif entry_point == "send_burst":
+        dispatched[0] += network.send_burst(sender, [(r, payload, size) for r in receivers])
+    else:
+        dispatched[0] += network.send_fanout(sender, receivers, payload, size)
+
+
+def _pending_records(sim, network):
+    """``{seq: time}`` of every queued message, checking the link invariant.
+
+    Each busy link sits on the heap exactly once, keyed by its head record;
+    idle links are off the heap; ``len(sim.queue)`` counts every queued
+    message plus every pending timer.
+    """
+    records = {}
+    timers = 0
+    armed = set()
+    for time, priority, seq, event in sim.queue._heap:
+        if not isinstance(event, _Delivery):
+            timers += not event.cancelled
+            continue
+        assert id(event) not in armed, "a link is on the heap twice"
+        armed.add(id(event))
+        head = event.fifo[event.index]
+        assert (time, priority, seq) == (head[0], 0, head[1])
+        assert event.time == time
+        keys = [record[:2] for record in event.fifo[event.index:]]
+        assert keys == sorted(keys)
+        records.update((record[1], record[0]) for record in event.fifo[event.index:])
+    for link in network._links.values():
+        assert (id(link) in armed) == (len(link.fifo) > link.index)
+    assert len(sim.queue) == len(records) + timers
+    return records
+
+
+send_op = st.tuples(
+    st.integers(0, 20),                    # send time (ms)
+    st.sampled_from(ENTRY_POINTS),
+    st.sampled_from(ADDRESSES),            # sender
+    st.lists(st.sampled_from(ADDRESSES + ("ghost",)), min_size=1, max_size=6),
+    st.sampled_from([0, 200, 20_000]),     # size: 20 kB queues on downlinks
+    st.integers(0, 2),                     # bounces
+)
+
+
+class TestDeliveryLinks:
+    """Per-receiver FIFOs pop messages in the exact ``(time, seq)`` order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        latency=st.sampled_from(["lognormal", "regional", "fixed"]),
+        loss=st.sampled_from([0.0, 0.2]),
+        headers=st.sampled_from([0, 64]),
+        shuffle=st.booleans(),
+        perturb=st.booleans(),
+        partition_at=st.one_of(st.none(), st.integers(0, 20)),
+        split_at=st.one_of(st.none(), st.integers(0, 20)),
+        ops=st.lists(send_op, min_size=1, max_size=25),
+    )
+    def test_processed_order_is_sorted_scheduled_keys(
+        self, seed, latency, loss, headers, shuffle, perturb, partition_at, split_at, ops
+    ):
+        sim = Simulator(seed=seed)
+        model = {
+            "lognormal": LogNormalLatency(median=0.002, sigma=0.5),
+            "regional": RegionalLatency(
+                region_of={"a": "eu-west", "b": "eu-west", "c": "us-east", "d": "ap-sydney"}
+            ),
+            "fixed": FixedLatency(0.002),
+        }[latency]
+        network = Network(
+            sim,
+            latency_model=model,
+            config=NetworkConfig(
+                loss_probability=loss, headers_bytes=headers, randomized_send_order=shuffle
+            ),
+        )
+        if perturb:
+            network.install_middleware(MiddlewareChain(Perturb()))
+        dispatched = [0]
+        actors = [Bouncer(sim, address, network, dispatched) for address in ADDRESSES]
+        for actor in actors:
+            network.register(actor)
+        if partition_at is not None:
+            sim.schedule(partition_at / 1000, lambda: network.partition(["c"]), tag="test.fault")
+            sim.schedule((partition_at + 5) / 1000, network.heal, tag="test.fault")
+        if split_at is not None:
+            sides = [("a", "b"), ("d", "e")]
+            sim.schedule(split_at / 1000, lambda: network.split(sides), tag="test.fault")
+            sim.schedule((split_at + 5) / 1000, network.merge, tag="test.fault")
+        for tag, (when, entry_point, sender, receivers, size, bounces) in enumerate(ops):
+            sim.schedule(
+                when / 1000,
+                lambda e=entry_point, s=sender, r=receivers, p=(tag, bounces), n=size: _send(
+                    network, e, s, r, p, n, dispatched
+                ),
+                tag="test.send",
+            )
+
+        scheduled = {}
+        processed = []
+        timers = 0
+        while sim.queue._heap:
+            scheduled.update(_pending_records(sim, network))
+            time, _, seq, event = sim.queue._heap[0]
+            assert sim.step()
+            assert sim.now == time
+            if isinstance(event, _Delivery):
+                processed.append((time, seq))
+            else:
+                timers += 1
+        assert len(sim.queue) == 0
+        assert processed == sorted((time, seq) for seq, time in scheduled.items())
+        assert sim.processed_events == len(processed) + timers
+
+        counters = sim.metrics.counters
+        received = sum(len(actor.received) for actor in actors)
+        assert counters["net.messages_delivered"] == received
+        # Every send is dropped at send time or dispatched with >= 1 copy;
+        # every queued copy is delivered, undeliverable or partitioned.
+        extra_copies = len(scheduled) - dispatched[0]
+        assert counters["net.messages_sent"] + extra_copies == (
+            counters["net.messages_delivered"]
+            + counters["net.messages_undeliverable"]
+            + counters["net.messages_partitioned"]
+            + counters["net.messages_lost"]
+        )
+
+    def test_step_sees_each_messages_own_delivery_time(self):
+        sim, network = make_net(config=NetworkConfig(randomized_send_order=False))
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        network.register(a)
+        network.register(b)
+        network.send_burst("a", [("b", index, 1_000) for index in range(5)])
+        transfer = 1_064 / 8_000_000
+        expected = [0.01 + transfer]
+        for _ in range(4):
+            expected.append(expected[-1] + transfer)
+        while sim.step():
+            pass
+        assert [time for time, _, _ in b.received] == expected
+        assert [payload for _, payload, _ in b.received] == list(range(5))
+
+    def test_link_that_never_drains_frees_delivered_payloads(self):
+        class Blob:
+            pass
+
+        class Sink(Actor):
+            def on_message(self, payload, sender):
+                pass
+
+        sim, network = make_net(config=NetworkConfig(randomized_send_order=False))
+        for address in ("a", "b"):
+            network.register(Sink(sim, address))
+        blobs = [Blob() for _ in range(300)]
+        first = weakref.ref(blobs[0])
+        network.send_burst("a", [("b", blob, 100) for blob in blobs])
+        del blobs
+        link = network._links["b"]
+        for _ in range(250):
+            assert sim.step()
+            assert len(link.fifo) > link.index  # still busy: never drained
+        assert first() is None
+
+    def test_zero_transfer_rounding_keeps_key_order(self):
+        # With no headers and empty payloads a downlink adds no transfer
+        # time, and the event key ``now + (delivery - now)`` of a later send
+        # can round one step below an earlier key for the same receiver.
+        class PerSender(LatencyModel):
+            def sample(self, rng, sender, receiver):
+                return {"a": 0.8, "c": 0.001}[sender]
+
+        sim = Simulator(seed=0)
+        network = Network(sim, latency_model=PerSender(), config=NetworkConfig(headers_bytes=0))
+        actors = {name: Recorder(sim, name) for name in ("a", "b", "c")}
+        for actor in actors.values():
+            network.register(actor)
+        delivery = 0.1 + 0.8
+        early, late = 0.18 + (delivery - 0.18), 0.1 + (delivery - 0.1)
+        assert early < late  # the rounding this test is about
+        sim.schedule(0.1, lambda: network.send_one("a", "b", "first", 0), tag="test.send")
+        sim.schedule(0.18, lambda: network.send_fanout("c", ["b"], "second", 0), tag="test.send")
+        while sim.step():
+            pass
+        assert [(t, p) for t, p, _ in actors["b"].received] == [(early, "second"), (late, "first")]
 
 
 class TestLatencyModels:

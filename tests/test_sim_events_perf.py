@@ -86,14 +86,6 @@ class TestCancellation:
         assert queue.peek_time() == 2.0
         assert len(queue) == 1
 
-    def test_clear_empties_heap(self):
-        queue = EventQueue()
-        for i in range(10):
-            queue.push(float(i), lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
-
 
 class TestRunLimits:
     def test_negative_max_events_stops_immediately(self):
